@@ -220,9 +220,10 @@ func benchmarkExchangeRunAuction(b *testing.B, jobs int, durable, tapped bool) {
 	defer ex.Close()
 	if tapped {
 		// The tapped variant attaches the analytics aggregator to the
-		// firehose, so every bid and close also flows through the event tap
-		// and the rollup sink. The allocs/op must not move against the
-		// untapped row: the tap is plain atomic stores on the hot path.
+		// firehose, so every round close also flows through the event tap
+		// and the rollup sink as one record. The allocs/op must not move
+		// against the untapped row: the ring's slots and the pump's scratch
+		// reuse their slate buffers.
 		agg := analytics.New(analytics.Options{})
 		defer ex.Firehose().Attach(agg)()
 	}
@@ -254,9 +255,10 @@ func benchmarkExchangeRunAuction(b *testing.B, jobs int, durable, tapped bool) {
 		}
 	}
 
-	// One untimed warm-up round settles first-contact state (job interning
-	// in the firehose, per-job/per-node series in the aggregator, pooled
-	// buffers), so the timed loop measures the steady-state close.
+	// One untimed warm-up round settles first-contact state (the firehose
+	// slots' and pump's slate buffers, per-job/per-node series in the
+	// aggregator, pooled buffers), so the timed loop measures the
+	// steady-state close.
 	for j := 0; j < jobs; j++ {
 		for _, bid := range bids[j] {
 			if _, err := ex.SubmitBid(jobHandles[j].ID(), bid); err != nil {

@@ -112,13 +112,17 @@
 // Observability: GET /v1/metrics/prometheus serves the full metric
 // catalog in Prometheus text exposition format (see the catalog in
 // internal/exchange's package docs), and the analytics endpoints serve
-// windowed + lifetime rollups fed by the exchange's event firehose:
+// windowed + lifetime rollups fed by the exchange's event firehose, one
+// record per closed round:
 //
 //	curl -s localhost:8780/v1/metrics/prometheus
 //	curl -s localhost:8780/v1/jobs/demo/stats
 //	curl -s localhost:8780/v1/nodes/1/stats
 //
-// -analytics-window sets the rollup horizon (default 10m).
+// -analytics-window sets the rollup horizon (default 10m). A bid is counted
+// in the rollups when its round closes: bids of a round that never closes
+// are not counted, and a node's last_bid_ms is the time the close was
+// consumed.
 //
 // Instead of polling, subscribe to the server-push round stream (SSE;
 // round_open, round_closed with the outcome inline, job_closed; reconnect

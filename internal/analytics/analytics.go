@@ -6,11 +6,18 @@
 // GET /v1/jobs/{id}/stats and GET /v1/nodes/{id}/stats in front of the
 // exchange's own HTTP handler.
 //
+// The firehose delivers one record per closed round, and every figure is
+// derived from it: bids and price buckets from the round's slate, wins and
+// node payments from its winners, and the round counts, totals and
+// latencies from its summary. So a bid is counted when its round closes —
+// a bid in a round that never closes is not counted — and a node's
+// last_bid_ms is the time that close was consumed.
+//
 // The window is a ring of epoch-stamped buckets reset lazily in place, so
-// steady-state aggregation allocates nothing: the firehose's zero-cost
-// producer guarantee extends through the sink. Ingest takes one mutex —
-// contention-free in practice, because a single pump goroutine is the only
-// writer and readers are scrape-rate HTTP requests.
+// steady-state aggregation allocates nothing, just like the firehose's
+// ring and pump. Ingest takes one mutex — contention-free in practice,
+// because a single pump goroutine is the only writer and readers are
+// scrape-rate HTTP requests.
 package analytics
 
 import (
@@ -53,7 +60,7 @@ type Rollup struct {
 	// Rounds and RoundsFailed count completed round closes.
 	Rounds       int64 `json:"rounds"`
 	RoundsFailed int64 `json:"rounds_failed"`
-	// Bids counts accepted bids; Wins counts selected ones.
+	// Bids counts the bids of closed rounds; Wins counts selected ones.
 	Bids int64 `json:"bids"`
 	Wins int64 `json:"wins"`
 	// WinRate is Wins/Bids (0 when no bids).
@@ -70,7 +77,7 @@ type Rollup struct {
 }
 
 // PriceHistogram is a fixed-bucket bid-price distribution: Counts[i] is
-// the number of accepted bids with price <= Bounds[i], Counts[len(Bounds)]
+// the number of closed-round bids with price <= Bounds[i], Counts[len(Bounds)]
 // catches the rest. Bounds are parallel (not a map keyed by +Inf) so the
 // histogram JSON-encodes cleanly.
 type PriceHistogram struct {
@@ -86,7 +93,7 @@ type JobStats struct {
 	// everything since the aggregator attached.
 	Window   Rollup `json:"window"`
 	Lifetime Rollup `json:"lifetime"`
-	// PriceHistogram is the windowed distribution of accepted bid prices.
+	// PriceHistogram is the windowed distribution of closed-round bid prices.
 	PriceHistogram PriceHistogram `json:"price_histogram"`
 }
 
@@ -96,11 +103,12 @@ type NodeStats struct {
 	WindowSec int64  `json:"window_sec"`
 	Window    Rollup `json:"window"`
 	Lifetime  Rollup `json:"lifetime"`
-	// PriceHistogram is the windowed distribution of the node's accepted
+	// PriceHistogram is the windowed distribution of the node's closed-round
 	// bid prices.
 	PriceHistogram PriceHistogram `json:"price_histogram"`
-	// LastBidMS / LastWinMS are unix-millisecond timestamps of the node's
-	// most recent accepted bid and win (0 = never).
+	// LastBidMS / LastWinMS are unix-millisecond times at which the
+	// aggregator consumed the latest round close carrying a bid and a win
+	// from the node (0 = never).
 	LastBidMS int64 `json:"last_bid_ms"`
 	LastWinMS int64 `json:"last_win_ms"`
 }
@@ -240,9 +248,11 @@ func (a *Aggregator) priceBucket(p float64) int {
 	return len(a.bounds)
 }
 
-// ConsumeTap implements exchange.Sink. One batch costs one mutex
-// acquisition and in-place counter updates; the only allocations are the
-// first-contact series of a new job or node.
+// ConsumeTap implements exchange.Sink. Each event is one closed round:
+// its slate feeds the per-job and per-node bid counts and price buckets,
+// its winners the wins and payments, and its totals the round rollups. One
+// batch costs one mutex acquisition and in-place counter updates; the only
+// allocations are the first-contact series of a new job or node.
 func (a *Aggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
 	now := a.now()
 	epoch := now.UnixNano()/int64(a.bucketDur) + 1 // +1: epoch 0 means "never"
@@ -251,59 +261,51 @@ func (a *Aggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
 	a.dropped += dropped
 	for i := range events {
 		ev := &events[i]
-		switch ev.Kind {
-		case exchange.TapBidAccepted:
-			js := a.jobSeries(ev.Job)
-			jb := a.at(js, epoch)
-			jb.bids++
-			jb.prices[a.priceBucket(ev.Price)]++
-			js.life.bids++
-
-			ns := a.nodeSeries(ev.Node)
+		js := a.jobSeries(ev.Job)
+		jb := a.at(js, epoch)
+		for _, b := range ev.Bids {
+			price := a.priceBucket(b.Price)
+			jb.prices[price]++
+			ns := a.nodeSeries(b.Node)
 			nb := a.at(ns, epoch)
 			nb.bids++
-			nb.prices[a.priceBucket(ev.Price)]++
+			nb.prices[price]++
 			ns.life.bids++
 			ns.lastBid = now
-		case exchange.TapWinner:
-			js := a.jobSeries(ev.Job)
-			a.at(js, epoch).wins++
-			js.life.wins++
-
-			ns := a.nodeSeries(ev.Node)
+		}
+		for _, w := range ev.Winners {
+			ns := a.nodeSeries(w.Node)
 			nb := a.at(ns, epoch)
 			nb.wins++
-			nb.payment += ev.Payment
+			nb.payment += w.Payment
 			ns.life.wins++
-			ns.life.payment += ev.Payment
+			ns.life.payment += w.Payment
 			ns.lastWin = now
-		case exchange.TapRoundClosed:
-			js := a.jobSeries(ev.Job)
-			jb := a.at(js, epoch)
-			lat := ev.Latency.Nanoseconds()
-			jb.rounds++
-			jb.payment += ev.Payment
-			jb.profit += ev.Profit
-			jb.latSumNs += lat
-			if lat > jb.latMaxNs {
-				jb.latMaxNs = lat
-			}
-			js.life.rounds++
-			js.life.payment += ev.Payment
-			js.life.profit += ev.Profit
-			js.life.latSumNs += lat
-			if lat > js.life.latMaxNs {
-				js.life.latMaxNs = lat
-			}
-			if ev.Failed {
-				jb.failed++
-				js.life.failed++
-			}
+		}
+		bids, wins := int64(len(ev.Bids)), int64(len(ev.Winners))
+		lat := ev.Latency.Nanoseconds()
+		jb.bids += bids
+		jb.wins += wins
+		jb.rounds++
+		jb.payment += ev.Payment
+		jb.profit += ev.Profit
+		jb.latSumNs += lat
+		jb.latMaxNs = max(jb.latMaxNs, lat)
+		js.life.bids += bids
+		js.life.wins += wins
+		js.life.rounds++
+		js.life.payment += ev.Payment
+		js.life.profit += ev.Profit
+		js.life.latSumNs += lat
+		js.life.latMaxNs = max(js.life.latMaxNs, lat)
+		if ev.Failed {
+			jb.failed++
+			js.life.failed++
 		}
 	}
 }
 
-// Dropped returns the firehose events this aggregator was told it missed.
+// Dropped returns the firehose rounds this aggregator was told it missed.
 func (a *Aggregator) Dropped() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -30,22 +30,22 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func feedRound(a *Aggregator, job string, round int, nodes []int, winner int) {
-	events := make([]exchange.TapEvent, 0, len(nodes)+2)
-	for _, n := range nodes {
-		events = append(events, exchange.TapEvent{
-			Kind: exchange.TapBidAccepted, Job: job, Round: round, Node: n, Price: 0.2,
-		})
-	}
-	events = append(events, exchange.TapEvent{
-		Kind: exchange.TapWinner, Job: job, Round: round, Node: winner, Price: 0.2, Payment: 0.3, Score: 1.5,
-	})
-	events = append(events, exchange.TapEvent{
+// roundEvent builds one closed-round event: every node bids 0.2 and the
+// winner is paid 0.3.
+func roundEvent(job string, round int, nodes []int, winner int) exchange.TapEvent {
+	ev := exchange.TapEvent{
 		Kind: exchange.TapRoundClosed, Job: job, Round: round,
-		NumBids: len(nodes), Winners: 1, Payment: 0.3, Profit: 1.2,
-		Latency: 2 * time.Millisecond,
-	})
-	a.ConsumeTap(events, 0)
+		Winners: []exchange.TapWinner{{Node: winner, Price: 0.2, Payment: 0.3, Score: 1.5}},
+		Payment: 0.3, Profit: 1.2, Latency: 2 * time.Millisecond,
+	}
+	for _, n := range nodes {
+		ev.Bids = append(ev.Bids, exchange.TapBid{Node: n, Price: 0.2})
+	}
+	return ev
+}
+
+func feedRound(a *Aggregator, job string, round int, nodes []int, winner int) {
+	a.ConsumeTap([]exchange.TapEvent{roundEvent(job, round, nodes, winner)}, 0)
 }
 
 func TestRollupMath(t *testing.T) {
@@ -147,11 +147,11 @@ func TestPriceHistogramBuckets(t *testing.T) {
 	a := New(Options{PriceBounds: []float64{0.1, 0.5, 1}, Now: clock.now})
 
 	prices := []float64{0.05, 0.1, 0.3, 0.9, 2.5}
-	events := make([]exchange.TapEvent, len(prices))
+	ev := exchange.TapEvent{Kind: exchange.TapRoundClosed, Job: "j", Round: 1}
 	for i, p := range prices {
-		events[i] = exchange.TapEvent{Kind: exchange.TapBidAccepted, Job: "j", Round: 1, Node: i, Price: p}
+		ev.Bids = append(ev.Bids, exchange.TapBid{Node: i, Price: p})
 	}
-	a.ConsumeTap(events, 0)
+	a.ConsumeTap([]exchange.TapEvent{ev}, 0)
 
 	js, _ := a.JobStats("j")
 	wantCounts := []int64{2, 1, 1, 1} // <=0.1 (boundary inclusive), <=0.5, <=1, overflow
@@ -171,7 +171,7 @@ func TestPriceHistogramBuckets(t *testing.T) {
 func TestDroppedAccumulates(t *testing.T) {
 	a := New(Options{})
 	a.ConsumeTap(nil, 7)
-	a.ConsumeTap([]exchange.TapEvent{{Kind: exchange.TapBidAccepted, Job: "j", Node: 1}}, 3)
+	a.ConsumeTap([]exchange.TapEvent{roundEvent("j", 1, []int{1}, 1)}, 3)
 	if got := a.Dropped(); got != 10 {
 		t.Errorf("Dropped = %d, want 10", got)
 	}

@@ -56,9 +56,10 @@
 //     its scratch round after round. Outcomes are bit-for-bit what the
 //     standalone auctioneer would produce, independent of arrival order.
 //   - Registry is a sharded node directory (striped locks, atomic per-node
-//     counters); the metrics and the event firehose are entirely lock-free
-//     on the producer side, so a slow scrape or a wedged event consumer can
-//     never stall a bid or a round close (see Observability below).
+//     counters); the metrics are lock-free on the producer side and the
+//     event firehose is fed once per round close, never from a bid, so a
+//     slow scrape or a wedged event consumer can never stall a bid or a
+//     round close (see Observability below).
 //
 // # Ownership: the pooled outcome lifecycle
 //
@@ -206,8 +207,8 @@
 // # Observability: metrics and the event firehose
 //
 // The exchange observes itself on three levels, all following the same
-// never-block rule as the SSE broker — producers pay a bounded handful of
-// atomic operations and nothing a consumer does can push back:
+// never-block rule as the SSE broker — producers pay a bounded, small cost
+// and nothing a consumer does can push back:
 //
 //   - Counters and gauges (Metrics/Snapshot). Counters are plain atomics
 //     bumped inline; gauges are derived at scrape time from authoritative
@@ -218,17 +219,21 @@
 //     writer's running size. The round-latency ring (P50/P99) and the
 //     fixed-bucket latency histogram are atomic slots written once per
 //     close.
-//   - The firehose (Exchange.Firehose) is a lock-free tap of the bid and
-//     round-close streams: a fixed ring of seqlock slots (Options.
-//     FirehoseRing, default 4096) that attached Sinks consume through
-//     per-sink pump goroutines. Producers never wait — a sink that cannot
-//     keep up loses the oldest events and the loss is counted
-//     (firehose_dropped), never smeared into close latency. Until the
-//     first Attach the tap costs producers one atomic load.
+//   - The firehose (Exchange.Firehose) is a tap of round closes: each
+//     close publishes one record — the canonical bid slate, the winners
+//     and their payments, the round totals — into a fixed 128-record ring
+//     that attached Sinks consume through per-sink pump goroutines. The
+//     bid path never touches it: bids are sealed until their round
+//     closes, so the round is the unit. The ring's mutex is held only to
+//     copy a record in or a batch out, never across a sink call, so a
+//     sink that cannot keep up loses the oldest records and the loss is
+//     counted (firehose_dropped), never smeared into close latency.
 //   - Rollups (internal/analytics) ride the firehose as a Sink and serve
 //     windowed + lifetime per-job and per-node aggregates over
 //     GET /v1/jobs/{id}/stats and /v1/nodes/{id}/stats; its NewHandler
-//     wraps this package's handler.
+//     wraps this package's handler. A bid enters these rollups when its
+//     round closes (so a bid in a round that never closes is not
+//     counted), and a node's last_bid_ms is when that close was consumed.
 //
 // GET /v1/metrics serves the JSON snapshot; GET /v1/metrics/prometheus
 // serves the same state in Prometheus text exposition format (0.0.4,
@@ -252,8 +257,8 @@
 //	wal_fsync_batched_records   counter    records those commits settled (ratio = batch size)
 //	wal_failed                  gauge      1 after the log's first sticky error (degraded), else 0
 //	wal_last_error_unix         gauge      Unix time of that first sticky error, 0 while healthy
-//	firehose_events_total       counter    events published to the firehose ring
-//	firehose_dropped_total      counter    events slow sinks missed (all sinks, ever)
+//	firehose_events_total       counter    round records published to the firehose (one per close)
+//	firehose_dropped_total      counter    round records slow sinks missed (all sinks, ever)
 //	round_latency_p50_seconds   gauge      nearest-rank p50 close latency (sliding ring)
 //	round_latency_p99_seconds   gauge      nearest-rank p99 close latency (sliding ring)
 //	round_latency_seconds       histogram  cumulative close latency, le= 250µs..2.5s buckets

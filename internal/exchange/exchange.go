@@ -73,12 +73,6 @@ type Options struct {
 	// (0 disables the timer; the size trigger still applies). Only
 	// meaningful with Open.
 	SnapshotInterval time.Duration
-	// FirehoseRing sizes the event tap's ring (rounded up to a power of
-	// two; default 4096 slots). The ring is the slack between the bid and
-	// round-close producers and the slowest attached sink: a sink that
-	// falls more than a ring behind loses the overrun and the loss is
-	// counted. Memory is only committed on the first Firehose().Attach.
-	FirehoseRing int
 	// Partition scopes the exchange to one partition of a multi-replica
 	// cluster: Local names the partition this replica owns and Map is the
 	// live cluster map (swappable through its atomic handle without a
@@ -209,7 +203,7 @@ func New(opts Options) *Exchange {
 		reg:     NewRegistry(),
 		pool:    newScorePool(opts.Workers, opts.ScoreChunk),
 		metrics: newMetrics(),
-		fh:      newFirehose(opts.FirehoseRing),
+		fh:      newFirehose(tapRing),
 		part:    opts.Partition,
 		adm:     opts.Admission,
 		ctx:     ctx,
@@ -445,13 +439,11 @@ func (ex *Exchange) SubmitBid(jobID string, bid auction.Bid) (round int, err err
 		return 0, err
 	}
 	ex.metrics.bidsAccepted.Add(1)
-	ex.fh.bidAccepted(j, round, bid.NodeID, bid.Payment)
 	return round, nil
 }
 
-// Firehose exposes the exchange's lock-free event tap. Attaching a sink
-// starts recording; until then the tap costs producers a single atomic
-// load.
+// Firehose exposes the exchange's round tap. Attaching a sink starts
+// recording; until then a round close costs the tap one uncontended lock.
 func (ex *Exchange) Firehose() *Firehose { return ex.fh }
 
 // CloseRound closes the job's current round synchronously and returns its

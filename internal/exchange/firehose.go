@@ -2,431 +2,234 @@ package exchange
 
 import (
 	"context"
-	"math"
-	"math/bits"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"fmore/internal/auction"
 )
 
-// Float packing for the atomic slot words.
-func f64bits(v float64) uint64     { return math.Float64bits(v) }
-func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
-
-// The firehose is the exchange's lock-free event tap: a fixed-size ring of
-// seqlock slots written from the bid-intake and round-close hot paths and
-// pumped to attached Sinks by per-sink goroutines. It follows the event
-// stream's never-block rule end to end — a producer performs a bounded
-// handful of atomic stores and moves on, no matter how slow (or wedged) a
-// sink is; a sink that cannot keep up loses the oldest events and the loss
-// is counted, never smeared into producer latency.
+// The firehose is the exchange's round tap: every completed round close
+// publishes one record — the round's canonical bid slate, its winners and
+// its totals — into a fixed ring, and per-sink pump goroutines deliver the
+// records to attached Sinks. Bids stay sealed until their round closes, so
+// the round is the unit; nothing on the bid path touches the tap.
 //
-// Until the first Attach the ring is not even allocated and every tap call
-// is a single atomic load, so an exchange nobody observes pays nothing.
+// The ring is guarded by one mutex that the producer holds only to copy a
+// record in, and a pump only to copy a batch out: a sink runs outside it,
+// so a slow (or wedged) sink never delays a round close. A sink that falls
+// more than a ring behind loses the oldest records, and the loss is
+// counted. Every pump cursor moves under the same mutex, which is what
+// makes Stats exact and monotone and lets a producer wake every pump
+// attached before its record without a lost-wakeup window.
+//
+// Until the first Attach the ring is not allocated and a round close costs
+// one uncontended lock, so an exchange nobody observes pays nothing more.
 
-// tapRingDefault is the ring capacity used when Options.FirehoseRing is 0.
-const tapRingDefault = 4096
+// tapRing is the ring capacity in round records.
+const tapRing = 128
 
-// tapBatch caps the events decoded and handed to a sink per ConsumeTap
-// call; it bounds the pump's scratch buffer and how long a sink call can
-// monopolize ring history.
-const tapBatch = 256
-
-// tapTick is the pump's fallback poll period, covering the benign race
-// where a producer loads the pump set just before an Attach publishes it
-// (that producer's wakeup is lost; the tick isn't).
-const tapTick = 10 * time.Millisecond
+// tapBatch caps the records copied out per ConsumeTap call; it bounds both
+// the pump's scratch and how long a pump holds the ring's mutex.
+const tapBatch = 32
 
 // TapKind enumerates firehose event kinds.
 type TapKind uint8
 
-const (
-	// TapBidAccepted is one accepted sealed bid entering a round.
-	TapBidAccepted TapKind = 1 + iota
-	// TapWinner is one selected bid of a completed round (one event per
-	// winner, emitted before the round's TapRoundClosed).
-	TapWinner
-	// TapRoundClosed is one completed round close (Failed marks a round
-	// whose scoring or winner determination errored).
-	TapRoundClosed
-)
+// TapRoundClosed is one completed round close (Failed marks a round whose
+// scoring or winner determination errored). It is the only kind.
+const TapRoundClosed TapKind = 1
 
-// String returns the kind's wire-stable name.
-func (k TapKind) String() string {
-	switch k {
-	case TapBidAccepted:
-		return "bid_accepted"
-	case TapWinner:
-		return "winner"
-	case TapRoundClosed:
-		return "round_closed"
-	default:
-		return "unknown"
-	}
-}
-
-// TapEvent is one decoded firehose event. Fields beyond Kind/Job/Round are
-// populated per kind: bids carry Node and Price; winners carry Node, Price
-// (asked), Payment (granted) and Score; round closes carry NumBids,
-// Winners, Payment (round total), Profit, Latency and Failed.
+// TapEvent is one firehose record: a closed round.
 type TapEvent struct {
 	Kind  TapKind
 	Job   string
 	Round int
-	// Node is the bidding (or winning) node.
-	Node int
-	// Price is the payment the bid asked for.
-	Price float64
-	// Payment is the payment granted to a winner, or a closed round's
-	// total payment across its winners.
+	// Bids is the round's canonical slate — every bid that entered the
+	// round, ascending by Node — exactly the set that was scored. It is
+	// set even when the round failed.
+	Bids []TapBid
+	// Winners are the selected bids in selection order (empty when the
+	// round failed).
+	Winners []TapWinner
+	// Payment is the round's total payment across its winners.
 	Payment float64
-	// Score is a winner's score under the job's rule.
-	Score float64
-	// NumBids and Winners size a closed round's bid and winner sets.
-	NumBids int
-	Winners int
-	// Latency is the round's close-to-outcome duration.
-	Latency time.Duration
 	// Profit is the round's aggregator profit (Eq 6).
 	Profit float64
+	// Latency is the round's close-to-outcome duration.
+	Latency time.Duration
 	// Failed marks a round whose bid set poisoned scoring or selection.
 	Failed bool
 }
 
-// Sink consumes firehose batches. ConsumeTap receives events in
-// publication order plus the number of events lost to ring overrun since
-// the previous delivery. The events slice is the pump's reused scratch —
-// a sink that retains events beyond the call must copy them. A sink may
-// block (the pump stalls, the producers don't), but a blocked sink drops
-// everything that laps the ring while it sleeps.
+// TapBid is one sealed bid of a closed round: the node and the payment it
+// asked for.
+type TapBid struct {
+	Node  int
+	Price float64
+}
+
+// TapWinner is one selected bid: the node, the payment it asked for, the
+// payment granted and its score under the job's rule.
+type TapWinner struct {
+	Node    int
+	Price   float64
+	Payment float64
+	Score   float64
+}
+
+// copyFrom makes e a deep copy of src, reusing e's slice capacity.
+func (e *TapEvent) copyFrom(src *TapEvent) {
+	bids, winners := e.Bids[:0], e.Winners[:0]
+	*e = *src
+	e.Bids = append(bids, src.Bids...)
+	e.Winners = append(winners, src.Winners...)
+}
+
+// Sink consumes firehose batches. ConsumeTap receives records in
+// publication order plus the number of records lost to ring overrun since
+// the previous delivery. The events and their Bids and Winners slices are
+// the pump's reused scratch — a sink that retains them beyond the call
+// must copy them. A sink may block (its pump stalls, the producers don't),
+// but a blocked sink drops everything that laps the ring while it sleeps.
 type Sink interface {
 	ConsumeTap(events []TapEvent, dropped uint64)
 }
 
-// tapWords is the per-slot payload size. Every event field packs into a
-// fixed word so slots can be plain atomics — the seqlock stays clean under
-// the race detector, and a torn read is detected by the version recheck
-// instead of being undefined behavior.
-const tapWords = 11
-
-// Payload word layout (all stored as uint64 bit patterns).
-const (
-	twKind    = iota // TapKind | failed flag <<8
-	twJob            // interned job index
-	twRound          // round number
-	twNode           // node ID
-	twPrice          // asked payment (float64 bits)
-	twPayment        // granted/total payment (float64 bits)
-	twScore          // winner score (float64 bits)
-	twNumBids        // closed round's bid count
-	twWinners        // closed round's winner count
-	twLatency        // close latency (nanoseconds)
-	twProfit         // aggregator profit (float64 bits)
-)
-
-const tapFailedFlag = 1 << 8
-
-// tapSlot is one seqlock slot. ver encodes both the write state and the
-// claim the slot holds: a writer for claim index i stores 2i+1 (busy),
-// then the payload, then 2i+2 (stable). A reader accepts the payload only
-// when ver reads exactly 2i+2 before and after the copy, so a reader
-// lapped mid-copy observes the version move and discards the torn words.
-// The one theoretical hole — two producers claiming i and i+size
-// concurrently, i.e. the whole ring published within one producer's
-// ~nanoseconds-long store sequence — would require a ring many orders of
-// magnitude smaller than the minimum enforced below.
-type tapSlot struct {
-	ver atomic.Uint64
-	w   [tapWords]atomic.Uint64
-}
-
-// Firehose is the exchange's event tap; obtain it via Exchange.Firehose.
+// Firehose is the exchange's round tap; obtain it via Exchange.Firehose.
 type Firehose struct {
-	size uint64
-	mask uint64
-
-	// head counts events ever published; an event's claim index is
-	// head-before-increment and its slot is claim & mask.
-	head atomic.Uint64
-
-	// ring is nil until the first Attach — the producer fast path when
-	// nobody listens is the single pointer load.
-	ring atomic.Pointer[[]tapSlot]
-
-	// lookup is the interned job-ID table (append-only, copy-on-write).
-	// Slots store job indices because strings cannot be stored atomically.
-	lookup atomic.Pointer[[]string]
-
-	// pumps is the attached sink set (copy-on-write under mu).
-	pumps atomic.Pointer[[]*tapPump]
-
+	mu sync.Mutex
+	// ring is nil until the first Attach; its slots keep their slate
+	// buffers, so the steady state allocates nothing.
+	ring []TapEvent
+	// head counts records ever published; record i lives in ring[i%len].
+	head  uint64
+	pumps []*tapPump
 	// detachedDrops accumulates the drop counts of detached pumps so the
 	// exchange-wide total never goes backwards.
-	detachedDrops atomic.Uint64
-
-	mu sync.Mutex // guards Attach/detach and the intern append
+	detachedDrops uint64
+	size          int
 }
 
-func newFirehose(ringSize int) *Firehose {
-	if ringSize <= 0 {
-		ringSize = tapRingDefault
-	}
-	if ringSize < 64 {
-		ringSize = 64
-	}
-	size := uint64(1) << bits.Len64(uint64(ringSize-1)) // round up to 2^n
-	f := &Firehose{size: size, mask: size - 1}
-	empty := make([]string, 0)
-	f.lookup.Store(&empty)
-	return f
-}
+func newFirehose(size int) *Firehose { return &Firehose{size: size} }
 
-// enabled reports whether events are being recorded (some sink attached at
-// least once). This is the producers' fast-path gate.
-func (f *Firehose) enabled() bool { return f.ring.Load() != nil }
-
-// intern maps the job to its index in the lookup table, assigning one on
-// first use. The assignment allocates (once per job lifetime, never on the
-// steady-state path) and publishes the grown table before returning, so an
-// event carrying the new index can never be decoded against a table that
-// lacks it by a reader that loads the table after reading the event.
-func (f *Firehose) intern(j *Job) uint64 {
-	if v := j.tapIdx.Load(); v != 0 {
-		return uint64(v - 1)
-	}
+// roundClosed publishes one completed round. bids is the canonical slate
+// that was scored; callers hold the job's closeMu, so it and the pooled
+// outcome memory are stable for the copy.
+func (f *Firehose) roundClosed(ro *RoundOutcome, bids []auction.Bid) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if v := j.tapIdx.Load(); v != 0 { // lost the race to another producer
-		return uint64(v - 1)
-	}
-	old := *f.lookup.Load()
-	grown := make([]string, len(old)+1)
-	copy(grown, old)
-	idx := uint64(len(old))
-	grown[idx] = j.id
-	f.lookup.Store(&grown)
-	j.tapIdx.Store(uint32(idx) + 1)
-	return idx
-}
-
-// jobName resolves an interned index, reloading the table if the local
-// snapshot predates the index's publication.
-func (f *Firehose) jobName(idx uint64, names []string) string {
-	if idx < uint64(len(names)) {
-		return names[idx]
-	}
-	if fresh := *f.lookup.Load(); idx < uint64(len(fresh)) {
-		return fresh[idx]
-	}
-	return "" // unreachable by the intern ordering; defend anyway
-}
-
-// emit claims the next slot and publishes the payload words. Producers
-// never loop, lock or wait: the cost is one fetch-add, 13 plain atomic
-// stores, and one non-blocking wakeup per pump.
-func (f *Firehose) emit(w *[tapWords]uint64) {
-	ring := f.ring.Load()
-	if ring == nil {
+	if f.ring == nil {
 		return
 	}
-	i := f.head.Add(1) - 1
-	s := &(*ring)[i&f.mask]
-	s.ver.Store(2*i + 1)
-	for k := range w {
-		s.w[k].Store(w[k])
+	ev := &f.ring[f.head%uint64(len(f.ring))]
+	ev.Kind, ev.Job, ev.Round = TapRoundClosed, ro.JobID, ro.Round
+	ev.Bids = slices.Grow(ev.Bids[:0], len(bids))
+	for i := range bids {
+		ev.Bids = append(ev.Bids, TapBid{Node: bids[i].NodeID, Price: bids[i].Payment})
 	}
-	s.ver.Store(2*i + 2)
-	if pumps := f.pumps.Load(); pumps != nil {
-		for _, p := range *pumps {
-			select {
-			case p.notify <- struct{}{}:
-			default:
-			}
-		}
-	}
-}
-
-// bidAccepted taps one accepted bid.
-func (f *Firehose) bidAccepted(j *Job, round, node int, price float64) {
-	if !f.enabled() {
-		return
-	}
-	var w [tapWords]uint64
-	w[twKind] = uint64(TapBidAccepted)
-	w[twJob] = f.intern(j)
-	w[twRound] = uint64(round)
-	w[twNode] = uint64(int64(node))
-	w[twPrice] = f64bits(price)
-	f.emit(&w)
-}
-
-// roundClosed taps one completed round: a TapWinner per selected bid, then
-// the TapRoundClosed summary. Callers hold the job's closeMu, so the
-// pooled outcome memory read here is stable; only scalars are copied out.
-func (f *Firehose) roundClosed(j *Job, ro *RoundOutcome) {
-	if !f.enabled() {
-		return
-	}
-	idx := f.intern(j)
-	var w [tapWords]uint64
+	ev.Winners = slices.Grow(ev.Winners[:0], len(ro.Outcome.Winners))
 	for i := range ro.Outcome.Winners {
-		win := &ro.Outcome.Winners[i]
-		w = [tapWords]uint64{}
-		w[twKind] = uint64(TapWinner)
-		w[twJob] = idx
-		w[twRound] = uint64(ro.Round)
-		w[twNode] = uint64(int64(win.Bid.NodeID))
-		w[twPrice] = f64bits(win.Bid.Payment)
-		w[twPayment] = f64bits(win.Payment)
-		w[twScore] = f64bits(win.Score)
-		f.emit(&w)
+		w := &ro.Outcome.Winners[i]
+		ev.Winners = append(ev.Winners, TapWinner{Node: w.Bid.NodeID, Price: w.Bid.Payment, Payment: w.Payment, Score: w.Score})
 	}
-	w = [tapWords]uint64{}
-	w[twKind] = uint64(TapRoundClosed)
-	if ro.Err != nil {
-		w[twKind] |= tapFailedFlag
-	}
-	w[twJob] = idx
-	w[twRound] = uint64(ro.Round)
-	w[twNumBids] = uint64(ro.NumBids)
-	w[twWinners] = uint64(len(ro.Outcome.Winners))
-	w[twPayment] = f64bits(ro.Outcome.TotalPayment())
-	w[twProfit] = f64bits(ro.Outcome.AggregatorProfit)
-	w[twLatency] = uint64(ro.Latency.Nanoseconds())
-	f.emit(&w)
-}
-
-// decode expands slot words into the event form.
-func (f *Firehose) decode(w *[tapWords]uint64, names []string) TapEvent {
-	return TapEvent{
-		Kind:    TapKind(w[twKind] &^ tapFailedFlag),
-		Failed:  w[twKind]&tapFailedFlag != 0,
-		Job:     f.jobName(w[twJob], names),
-		Round:   int(int64(w[twRound])),
-		Node:    int(int64(w[twNode])),
-		Price:   f64frombits(w[twPrice]),
-		Payment: f64frombits(w[twPayment]),
-		Score:   f64frombits(w[twScore]),
-		NumBids: int(int64(w[twNumBids])),
-		Winners: int(int64(w[twWinners])),
-		Latency: time.Duration(w[twLatency]),
-		Profit:  f64frombits(w[twProfit]),
+	ev.Payment = ro.Outcome.TotalPayment()
+	ev.Profit = ro.Outcome.AggregatorProfit
+	ev.Latency = ro.Latency
+	ev.Failed = ro.Err != nil
+	f.head++
+	for _, p := range f.pumps {
+		select {
+		case p.notify <- struct{}{}:
+		default:
+		}
 	}
 }
 
 // Attach subscribes a sink from the current position of the stream (no
 // replay) and returns its detach function. The first Attach allocates the
-// ring and turns recording on; recording stays on afterwards (the tap is
-// a bounded handful of atomic stores, not worth a producer-visible toggle).
-// Detach is signal-only and idempotent: it never waits on the pump, so a
-// sink wedged inside ConsumeTap cannot wedge the caller.
+// ring and turns recording on for good. Detach is idempotent and never
+// waits on the pump, so a sink wedged inside ConsumeTap cannot wedge the
+// caller.
 func (f *Firehose) Attach(s Sink) (detach func()) {
-	f.mu.Lock()
-	if f.ring.Load() == nil {
-		ring := make([]tapSlot, f.size)
-		f.ring.Store(&ring)
-	}
 	p := &tapPump{
 		sink:   s,
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		buf:    make([]TapEvent, 0, tapBatch),
+		buf:    make([]TapEvent, tapBatch),
 	}
-	p.read.Store(f.head.Load())
-	p.consumed.Store(p.read.Load())
-	f.addPump(p)
+	f.mu.Lock()
+	if f.ring == nil {
+		f.ring = make([]TapEvent, f.size)
+	}
+	p.read, p.consumed = f.head, f.head
+	f.pumps = append(f.pumps, p)
 	f.mu.Unlock()
 	go p.run(f)
 
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			f.mu.Lock()
-			f.removePump(p)
-			// Freeze the pump's loss into the exchange-wide total; drops
-			// after this point have no audience.
-			f.detachedDrops.Add(p.dropped.Load() + f.lag(p))
-			f.mu.Unlock()
-			close(p.stop)
-		})
-	}
-}
-
-// addPump and removePump maintain the copy-on-write pump set; callers hold
-// f.mu.
-func (f *Firehose) addPump(p *tapPump) {
-	old := f.pumps.Load()
-	var grown []*tapPump
-	if old != nil {
-		grown = append(grown, *old...)
-	}
-	grown = append(grown, p)
-	f.pumps.Store(&grown)
-}
-
-func (f *Firehose) removePump(p *tapPump) {
-	old := f.pumps.Load()
-	if old == nil {
-		return
-	}
-	kept := make([]*tapPump, 0, len(*old))
-	for _, q := range *old {
-		if q != p {
-			kept = append(kept, q)
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if !slices.Contains(f.pumps, p) {
+			return
 		}
+		f.pumps = slices.DeleteFunc(f.pumps, func(q *tapPump) bool { return q == p })
+		// Freeze the pump's loss into the exchange-wide total; drops after
+		// this point have no audience.
+		f.detachedDrops += p.dropped + f.lag(p)
+		p.halt()
 	}
-	f.pumps.Store(&kept)
 }
 
-// lag is how many published events the pump can no longer deliver because
-// the ring has lapped past its cursor — the live component of its drop
-// count (a wedged sink's loss keeps growing here while the pump is stuck
-// inside ConsumeTap and cannot update its own counter).
+// lag is how many published records the pump can no longer deliver
+// because the ring has lapped its cursor — the live part of its drop count
+// (a wedged sink's loss keeps growing here while its pump is stuck inside
+// ConsumeTap). Callers hold f.mu.
 func (f *Firehose) lag(p *tapPump) uint64 {
-	if behind := f.head.Load() - p.read.Load(); behind > f.size {
-		return behind - f.size
+	if behind := f.head - p.read; behind > uint64(len(f.ring)) {
+		return behind - uint64(len(f.ring))
 	}
 	return 0
 }
 
-// Stats returns the events published since recording began and the total
-// events dropped across all sinks, past and present.
+// Stats returns the records published since recording began and the total
+// records dropped across all sinks, past and present. Both are monotone.
 func (f *Firehose) Stats() (published, dropped uint64) {
-	published = f.head.Load()
-	dropped = f.detachedDrops.Load()
-	if pumps := f.pumps.Load(); pumps != nil {
-		for _, p := range *pumps {
-			dropped += p.dropped.Load() + f.lag(p)
-		}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	dropped = f.detachedDrops
+	for _, p := range f.pumps {
+		dropped += p.dropped + f.lag(p)
 	}
-	return published, dropped
+	return f.head, dropped
 }
 
 // Drain blocks until every currently attached sink has been offered all
-// events published before the call (delivered or counted dropped), or ctx
+// records published before the call (delivered or counted dropped), or ctx
 // expires. It is a test and shutdown aid — producers never call it.
 func (f *Firehose) Drain(ctx context.Context) error {
-	target := f.head.Load()
-	for {
-		settled := true
-		if pumps := f.pumps.Load(); pumps != nil {
-			for _, p := range *pumps {
-				if p.consumed.Load() < target {
-					settled = false
-					break
-				}
-			}
-		}
-		if settled {
-			return nil
-		}
+	f.mu.Lock()
+	target := f.head
+	f.mu.Unlock()
+	for !f.settled(target) {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(time.Millisecond):
 		}
 	}
+	return nil
+}
+
+func (f *Firehose) settled(target uint64) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, p := range f.pumps {
+		if p.consumed < target {
+			return false
+		}
+	}
+	return true
 }
 
 // stopAll signals every pump to exit without waiting for any of them (a
@@ -434,93 +237,64 @@ func (f *Firehose) Drain(ctx context.Context) error {
 func (f *Firehose) stopAll() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if pumps := f.pumps.Load(); pumps != nil {
-		for _, p := range *pumps {
-			select {
-			case <-p.stop:
-			default:
-				close(p.stop)
-			}
-		}
+	for _, p := range f.pumps {
+		p.halt()
 	}
 }
 
-// tapPump drives one sink: it chases the ring's head, decodes batches into
-// a reused buffer, and calls ConsumeTap. All ring consumption state lives
-// here, so sinks compose without sharing cursors.
+// next copies the pump's next batch out of the ring and advances its
+// cursor, first counting (and skipping) whatever the ring lapped. It
+// returns no events when the pump is caught up.
+func (f *Firehose) next(p *tapPump) (events []TapEvent, dropped uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	p.consumed = p.read // the previous batch has been delivered
+	dropped = f.lag(p)
+	p.dropped += dropped
+	p.read += dropped
+	n := min(f.head-p.read, tapBatch)
+	for i := range n {
+		p.buf[i].copyFrom(&f.ring[(p.read+i)%uint64(len(f.ring))])
+	}
+	p.read += n
+	return p.buf[:n], dropped
+}
+
+// tapPump drives one sink. Its cursors are guarded by the firehose's mu:
+// read is the next record to copy out, consumed trails it until the sink
+// returns (Drain's progress witness), and dropped is the overrun loss
+// already reported (or being reported) to the sink.
 type tapPump struct {
 	sink   Sink
 	notify chan struct{}
 	stop   chan struct{}
-	done   chan struct{}
 
-	// read is the next claim index to decode; consumed trails it, advancing
-	// only after ConsumeTap returns (Drain's progress witness). dropped
-	// accumulates overrun losses already reported (or about to be) to the
-	// sink; the still-growing loss of a currently stuck sink is the live
-	// lag, computed against read by Firehose.lag.
-	read     atomic.Uint64
-	consumed atomic.Uint64
-	dropped  atomic.Uint64
+	read, consumed, dropped uint64
 
 	buf []TapEvent
 }
 
+// halt closes stop once; callers hold the firehose's mu.
+func (p *tapPump) halt() {
+	select {
+	case <-p.stop:
+	default:
+		close(p.stop)
+	}
+}
+
 func (p *tapPump) run(f *Firehose) {
-	defer close(p.done)
-	tick := time.NewTicker(tapTick)
-	defer tick.Stop()
-	var pendingDrop uint64
 	for {
-		head := f.head.Load()
-		read := p.read.Load()
-		if read == head {
+		events, dropped := f.next(p)
+		if len(events) == 0 {
 			select {
 			case <-p.stop:
 				return
 			case <-p.notify:
-			case <-tick.C:
 			}
 			continue
 		}
-		// Overrun: the ring lapped the cursor; everything older than one
-		// ring of history is gone. Count it and jump forward.
-		if behind := head - read; behind > f.size {
-			p.dropped.Add(behind - f.size)
-			pendingDrop += behind - f.size
-			read = head - f.size
-		}
-		ring := *f.ring.Load()
-		names := *f.lookup.Load()
-		p.buf = p.buf[:0]
-		for len(p.buf) < tapBatch && read < head {
-			s := &ring[read&f.mask]
-			want := 2*read + 2
-			if s.ver.Load() < want {
-				// The claim exists (read < head) but its writer has not
-				// finished publishing; take what we have and come back.
-				break
-			}
-			var w [tapWords]uint64
-			for k := range w {
-				w[k] = s.w[k].Load()
-			}
-			if s.ver.Load() != want {
-				// Lapped mid-copy: the words are torn, the event is lost.
-				p.dropped.Add(1)
-				pendingDrop++
-				read++
-				continue
-			}
-			p.buf = append(p.buf, f.decode(&w, names))
-			read++
-		}
-		p.read.Store(read)
-		if len(p.buf) > 0 {
-			p.sink.ConsumeTap(p.buf, pendingDrop)
-			pendingDrop = 0
-		}
-		p.consumed.Store(read)
+		p.sink.ConsumeTap(events, dropped)
 		select {
 		case <-p.stop:
 			return

@@ -2,6 +2,8 @@ package exchange
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -52,9 +54,10 @@ func drainFirehose(t *testing.T, f *Firehose) {
 	}
 }
 
-// TestFirehoseTapsAuctionEvents checks the event schema end to end: every
-// accepted bid, every winner and every round close surface through an
-// attached sink with the fields the aggregation layer depends on.
+// TestFirehoseTapsAuctionEvents checks the record schema end to end: a
+// closed round surfaces through an attached sink as exactly one event
+// carrying the canonical slate, the winners and the round totals the
+// aggregation layer derives its rollups from.
 func TestFirehoseTapsAuctionEvents(t *testing.T) {
 	const bidders = 8
 	ex := New(Options{})
@@ -69,8 +72,8 @@ func TestFirehoseTapsAuctionEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	bids := testBids(0, 1, bidders)
-	for _, b := range bids {
-		if _, err := ex.SubmitBid(job.ID(), b); err != nil {
+	for i := range bids { // arrival order must not leak into the slate
+		if _, err := ex.SubmitBid(job.ID(), bids[len(bids)-1-i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,62 +87,78 @@ func TestFirehoseTapsAuctionEvents(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("dropped = %d, want 0", dropped)
 	}
-	var gotBids, gotWinners, gotRounds []TapEvent
-	for _, ev := range events {
-		if ev.Job != "tap-job" {
-			t.Fatalf("event job = %q, want tap-job", ev.Job)
-		}
-		if ev.Round != 1 {
-			t.Fatalf("event round = %d, want 1", ev.Round)
-		}
-		switch ev.Kind {
-		case TapBidAccepted:
-			gotBids = append(gotBids, ev)
-		case TapWinner:
-			gotWinners = append(gotWinners, ev)
-		case TapRoundClosed:
-			gotRounds = append(gotRounds, ev)
-		default:
-			t.Fatalf("unexpected kind %v", ev.Kind)
+	if len(events) != 1 {
+		t.Fatalf("events = %d, want 1 per round", len(events))
+	}
+	ev := events[0]
+	if ev.Kind != TapRoundClosed || ev.Job != "tap-job" || ev.Round != 1 {
+		t.Fatalf("event = %v %q round %d, want round_closed tap-job round 1", ev.Kind, ev.Job, ev.Round)
+	}
+	if len(ev.Bids) != bidders {
+		t.Fatalf("slate = %d bids, want %d", len(ev.Bids), bidders)
+	}
+	for i, b := range ev.Bids { // testBids numbers nodes 0..n-1
+		if b.Node != bids[i].NodeID || b.Price != bids[i].Payment {
+			t.Fatalf("slate[%d] = %+v, want node %d price %v", i, b, bids[i].NodeID, bids[i].Payment)
 		}
 	}
-	if len(gotBids) != bidders {
-		t.Fatalf("bid events = %d, want %d", len(gotBids), bidders)
+	if len(ev.Winners) != len(ro.Outcome.Winners) {
+		t.Fatalf("winners = %d, want %d", len(ev.Winners), len(ro.Outcome.Winners))
 	}
-	for i, ev := range gotBids {
-		if ev.Node != bids[i].NodeID || ev.Price != bids[i].Payment {
-			t.Fatalf("bid event %d = node %d price %v, want node %d price %v",
-				i, ev.Node, ev.Price, bids[i].NodeID, bids[i].Payment)
+	for i, w := range ev.Winners {
+		want := ro.Outcome.Winners[i]
+		if w.Node != want.Bid.NodeID || w.Price != want.Bid.Payment || w.Payment != want.Payment || w.Score != want.Score {
+			t.Fatalf("winner %d = %+v, want node %d price %v payment %v score %v",
+				i, w, want.Bid.NodeID, want.Bid.Payment, want.Payment, want.Score)
 		}
 	}
-	if len(gotWinners) != len(ro.Outcome.Winners) {
-		t.Fatalf("winner events = %d, want %d", len(gotWinners), len(ro.Outcome.Winners))
-	}
-	for i, ev := range gotWinners {
-		w := ro.Outcome.Winners[i]
-		if ev.Node != w.Bid.NodeID || ev.Payment != w.Payment || ev.Score != w.Score {
-			t.Fatalf("winner event %d = %+v, want node %d payment %v score %v",
-				i, ev, w.Bid.NodeID, w.Payment, w.Score)
-		}
-	}
-	if len(gotRounds) != 1 {
-		t.Fatalf("round events = %d, want 1", len(gotRounds))
-	}
-	rc := gotRounds[0]
-	if rc.NumBids != bidders || rc.Winners != len(ro.Outcome.Winners) ||
-		rc.Payment != ro.Outcome.TotalPayment() || rc.Profit != ro.Outcome.AggregatorProfit ||
-		rc.Failed || rc.Latency <= 0 {
-		t.Fatalf("round event = %+v, want bids=%d winners=%d payment=%v profit=%v failed=false latency>0",
-			rc, bidders, len(ro.Outcome.Winners), ro.Outcome.TotalPayment(), ro.Outcome.AggregatorProfit)
+	if ev.Payment != ro.Outcome.TotalPayment() || ev.Profit != ro.Outcome.AggregatorProfit ||
+		ev.Failed || ev.Latency <= 0 {
+		t.Fatalf("round totals = payment %v profit %v failed %v latency %v, want %v %v false >0",
+			ev.Payment, ev.Profit, ev.Failed, ev.Latency, ro.Outcome.TotalPayment(), ro.Outcome.AggregatorProfit)
 	}
 
-	if pub, drop := ex.Firehose().Stats(); pub != uint64(len(events)) || drop != 0 {
-		t.Fatalf("Stats = (%d, %d), want (%d, 0)", pub, drop, len(events))
+	if pub, drop := ex.Firehose().Stats(); pub != 1 || drop != 0 {
+		t.Fatalf("Stats = (%d, %d), want (1, 0)", pub, drop)
 	}
 	snap := ex.Metrics()
-	if snap.FirehoseEvents != int64(len(events)) || snap.FirehoseDropped != 0 {
-		t.Fatalf("snapshot firehose = (%d, %d), want (%d, 0)",
-			snap.FirehoseEvents, snap.FirehoseDropped, len(events))
+	if snap.FirehoseEvents != 1 || snap.FirehoseDropped != 0 {
+		t.Fatalf("snapshot firehose = (%d, %d), want (1, 0)", snap.FirehoseEvents, snap.FirehoseDropped)
+	}
+}
+
+// TestFirehoseFailedRoundKeepsSlate: a round whose bid set poisons scoring
+// still publishes its slate, so its bids are counted downstream. SubmitBid
+// rejects non-finite qualities, so the poisoned bid enters the intake
+// directly.
+func TestFirehoseFailedRoundKeepsSlate(t *testing.T) {
+	ex := New(Options{})
+	defer ex.Close()
+	sink := &collectSink{}
+	defer ex.Firehose().Attach(sink)()
+
+	job, err := ex.CreateJob(JobSpec{ID: "poisoned", Auction: auction.Config{Rule: testRule(t, 4), K: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bids := testBids(4, 1, 3)
+	bids[1].Qualities = []float64{math.NaN(), 0.5}
+	for _, b := range bids {
+		if _, err := job.intake.submit(b, &job.closed, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ex.CloseRound(job.ID()); err == nil {
+		t.Fatal("poisoned round closed without error")
+	}
+	drainFirehose(t, ex.Firehose())
+
+	events, _ := sink.snapshot()
+	if len(events) != 1 {
+		t.Fatalf("events = %d, want 1", len(events))
+	}
+	if ev := events[0]; !ev.Failed || len(ev.Bids) != len(bids) || len(ev.Winners) != 0 || ev.Payment != 0 {
+		t.Fatalf("failed round event = %+v, want Failed with %d bids and no winners", ev, len(bids))
 	}
 }
 
@@ -193,44 +212,55 @@ func TestFirehoseAttachStartsAtLivePosition(t *testing.T) {
 	}
 }
 
-// TestFirehoseWedgedSinkNeverBlocksProducers is the never-block acceptance
-// test: with a sink permanently stuck inside ConsumeTap and a deliberately
-// tiny ring, 64 bidders and repeated round closes must proceed unimpeded
-// (any completion at all proves producers never wait on the sink — it is
-// wedged for the whole test), the overrun must be counted as drops, and a
-// healthy sink attached alongside must still receive the stream.
-func TestFirehoseWedgedSinkNeverBlocksProducers(t *testing.T) {
-	const (
-		bidders = 64
-		rounds  = 4
-	)
-	ex := New(Options{FirehoseRing: 64}) // minimum ring: overrun quickly
-	defer ex.Close()
+// wedgedFixture is an exchange with a two-record ring, a wedged sink stuck
+// inside its first ConsumeTap (on a warm-up round's record), and a job
+// whose later rounds overrun that sink's cursor.
+func wedgedFixture(t *testing.T, jobID string) (ex *Exchange, detachWedged func()) {
+	t.Helper()
+	ex = New(Options{})
+	ex.fh = newFirehose(2) // the smallest ring a wedged sink can be lapped in
+	t.Cleanup(func() { ex.Close() })
 
 	wedged := &wedgedSink{entered: make(chan struct{}), release: make(chan struct{})}
-	defer close(wedged.release)
-	detachWedged := ex.Firehose().Attach(wedged)
-	defer detachWedged()
-	healthy := &collectSink{}
-	detachHealthy := ex.Firehose().Attach(healthy)
-	defer detachHealthy()
+	t.Cleanup(func() { close(wedged.release) })
+	detachWedged = ex.Firehose().Attach(wedged)
+	t.Cleanup(detachWedged)
 
-	job, err := ex.CreateJob(JobSpec{ID: "wedge", Auction: auction.Config{Rule: testRule(t, 2), K: 4}})
+	job, err := ex.CreateJob(JobSpec{ID: jobID, Auction: auction.Config{Rule: testRule(t, 2), K: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	// Ensure the wedged pump is truly inside ConsumeTap (not merely slow)
 	// before the main workload, so overruns happen against a stuck cursor.
-	// High node IDs keep these warm-up bids clear of the fleet below (the
-	// round they enter stays open into the first loop iteration).
+	// High node IDs keep the warm-up bids clear of any fleet.
 	for i, b := range testBids(2, 1, 4) {
 		b.NodeID = 1000 + i
 		if _, err := ex.SubmitBid(job.ID(), b); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if _, err := ex.CloseRound(job.ID()); err != nil {
+		t.Fatal(err)
+	}
 	<-wedged.entered
+	return ex, detachWedged
+}
+
+// TestFirehoseWedgedSinkNeverBlocksProducers is the never-block acceptance
+// test: with a sink permanently stuck inside ConsumeTap and a two-record
+// ring, 64 bidders and repeated round closes must proceed unimpeded (any
+// completion at all proves producers never wait on the sink — it is wedged
+// for the whole test), the overrun must be counted as drops, and a healthy
+// sink attached alongside must still receive every round close.
+func TestFirehoseWedgedSinkNeverBlocksProducers(t *testing.T) {
+	const (
+		bidders = 64
+		rounds  = 4
+	)
+	ex, detachWedged := wedgedFixture(t, "wedge")
+	healthy := &collectSink{}
+	detachHealthy := ex.Firehose().Attach(healthy)
+	defer detachHealthy()
 
 	start := time.Now()
 	for round := 0; round < rounds; round++ {
@@ -240,13 +270,13 @@ func TestFirehoseWedgedSinkNeverBlocksProducers(t *testing.T) {
 			go func(node int) {
 				defer wg.Done()
 				b := testBids(2, round+2, bidders)[node]
-				if _, err := ex.SubmitBid(job.ID(), b); err != nil {
+				if _, err := ex.SubmitBid("wedge", b); err != nil {
 					t.Error(err)
 				}
 			}(i)
 		}
 		wg.Wait()
-		if _, err := ex.CloseRound(job.ID()); err != nil {
+		if _, err := ex.CloseRound("wedge"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,8 +288,8 @@ func TestFirehoseWedgedSinkNeverBlocksProducers(t *testing.T) {
 		t.Fatalf("workload took %v with a wedged sink attached", elapsed)
 	}
 
-	// 64-slot ring, ~(64+4+1) events per round over 4+ rounds: the wedged
-	// pump's cursor must have been lapped and the loss counted.
+	// Two-record ring, four rounds past the wedged pump's cursor: it must
+	// have been lapped and the loss counted.
 	_, dropped := ex.Firehose().Stats()
 	if dropped == 0 {
 		t.Fatal("wedged sink overran the ring but Stats reports no drops")
@@ -268,8 +298,8 @@ func TestFirehoseWedgedSinkNeverBlocksProducers(t *testing.T) {
 	if snap.FirehoseDropped == 0 {
 		t.Fatal("snapshot reports no firehose drops")
 	}
-	if snap.RoundsTotal != rounds {
-		t.Fatalf("rounds_total = %d, want %d", snap.RoundsTotal, rounds)
+	if snap.RoundsTotal != rounds+1 { // +1: the warm-up round
+		t.Fatalf("rounds_total = %d, want %d", snap.RoundsTotal, rounds+1)
 	}
 
 	// Detaching the wedged sink freezes its loss into the exchange total
@@ -299,6 +329,61 @@ func TestFirehoseWedgedSinkNeverBlocksProducers(t *testing.T) {
 	}
 	if closes != rounds {
 		t.Fatalf("healthy sink saw %d round closes, want %d", closes, rounds)
+	}
+}
+
+// TestFirehoseDroppedTotalMonotone polls Stats and the metrics snapshot
+// while a wedged sink is overrun and then detached: the drop total feeds a
+// Prometheus counter, so no poll may ever read less than an earlier one.
+func TestFirehoseDroppedTotalMonotone(t *testing.T) {
+	ex, detachWedged := wedgedFixture(t, "monotone")
+
+	stop := make(chan struct{})
+	errs := make(chan string, 2)
+	var wg sync.WaitGroup
+	poll := func(name string, read func() uint64) {
+		defer wg.Done()
+		var last uint64
+		for {
+			v := read()
+			if v < last {
+				errs <- fmt.Sprintf("%s went backwards: %d -> %d", name, last, v)
+				return
+			}
+			last = v
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}
+	wg.Add(2)
+	go poll("Stats dropped", func() uint64 { _, d := ex.Firehose().Stats(); return d })
+	go poll("firehose_dropped", func() uint64 { return uint64(ex.Metrics().FirehoseDropped) })
+
+	const rounds = 16
+	for round := 0; round < rounds; round++ {
+		if round == rounds/2 {
+			detachWedged()
+		}
+		for _, b := range testBids(2, round+2, 4) {
+			if _, err := ex.SubmitBid("monotone", b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ex.CloseRound("monotone"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if _, dropped := ex.Firehose().Stats(); dropped == 0 {
+		t.Fatal("wedged sink overran the ring but no drops were counted")
 	}
 }
 

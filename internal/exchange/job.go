@@ -135,11 +135,6 @@ type Job struct {
 	// bid-intake fast path, so bidders never touch j.mu.
 	closed atomic.Bool
 
-	// tapIdx caches the job's interned firehose index plus one (0 =
-	// unassigned); ring slots are atomic words and cannot carry the ID
-	// string itself. See Firehose.intern.
-	tapIdx atomic.Uint32
-
 	// intake is the striped bid-ingestion front: P shards, each with its own
 	// lock, buffer, dedup set and round label. Bid submission touches only
 	// its shard; the round close drains all shards once. See intake.go.
@@ -494,9 +489,9 @@ func (j *Job) closeRoundLocked() (RoundOutcome, error) {
 	}
 	j.mu.Unlock()
 
-	// Tap the completed round while closeMu still pins the pooled outcome
-	// memory; only scalars are copied into the ring.
-	j.ex.fh.roundClosed(j, &ro)
+	// Tap the completed round while closeMu still pins the slate and the
+	// pooled outcome memory; the firehose copies both into its ring.
+	j.ex.fh.roundClosed(&ro, bids)
 	if maxed {
 		j.cancel()
 		j.ex.logJobClosed(j.id)

@@ -124,9 +124,9 @@ type Snapshot struct {
 	// WrongPartition counts requests refused with wrong_partition — jobs
 	// the cluster map assigns to a different replica. Stays 0 unpartitioned.
 	WrongPartition int64 `json:"wrong_partition"`
-	// FirehoseEvents counts events published into the event tap since a
-	// sink first attached; FirehoseDropped counts events sinks lost to
-	// ring overrun (all sinks, past and present).
+	// FirehoseEvents counts round records (one per round close) published
+	// into the firehose since a sink first attached; FirehoseDropped counts
+	// records sinks lost to ring overrun (all sinks, past and present).
 	FirehoseEvents  int64 `json:"firehose_events"`
 	FirehoseDropped int64 `json:"firehose_dropped"`
 	// Round-close latency percentiles over the last latWindow rounds.

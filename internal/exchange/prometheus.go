@@ -50,8 +50,8 @@ func writePrometheus(w io.Writer, ex *Exchange) error {
 	}
 	gauge("wal_failed", "1 after the outcome log's first sticky error (replica degraded, refusing durable writes), else 0.", walFailed)
 	gauge("wal_last_error_unix", "Unix time of the outcome log's first sticky error, 0 while healthy.", float64(s.WalLastErrorUnix))
-	counter("firehose_events_total", "Events published into the firehose tap since a sink first attached.", s.FirehoseEvents)
-	counter("firehose_dropped_total", "Firehose events lost to ring overrun across all sinks.", s.FirehoseDropped)
+	counter("firehose_events_total", "Round records (one per round close) published into the firehose since a sink first attached.", s.FirehoseEvents)
+	counter("firehose_dropped_total", "Firehose round records lost to ring overrun across all sinks.", s.FirehoseDropped)
 	// Partition metrics appear only on a partitioned replica: an info-style
 	// gauge carrying the partition as a label (constant 1, the idiomatic way
 	// to join other series onto topology), the map version, and the

@@ -3,8 +3,11 @@ package client
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fmore/internal/exchange"
@@ -88,12 +91,17 @@ func TestClientRedirectOnWrongPartition(t *testing.T) {
 	}
 
 	// Concurrent misdirected bids: strip routing state so each goroutine's
-	// first attempt really hits the wrong replica, then re-aims.
-	cold, err := New(url0)
+	// first attempt really hits the wrong replica, then re-aims. The
+	// transport holds every bid bound for p0 until all of them are in
+	// flight, so no redirect can refresh the map before a late bidder
+	// picks its first target.
+	const bidders = 16
+	gate := &gatedTransport{base: http.DefaultTransport, host: strings.TrimPrefix(url0, "http://"), n: bidders}
+	gate.all.Add(bidders)
+	cold, err := New(url0, WithHTTPClient(&http.Client{Transport: gate}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bidders = 16
 	var wg sync.WaitGroup
 	errs := make([]error, bidders)
 	for i := 0; i < bidders; i++ {
@@ -124,6 +132,24 @@ func TestClientRedirectOnWrongPartition(t *testing.T) {
 	if wp := ex0.Metrics().WrongPartition; wp < bidders {
 		t.Fatalf("p0 wrong_partition = %d, want >= %d", wp, bidders)
 	}
+}
+
+// gatedTransport holds each of the first n bid requests bound for host
+// until all n have arrived, then lets them through together.
+type gatedTransport struct {
+	base    http.RoundTripper
+	host    string
+	n       int32
+	arrived atomic.Int32
+	all     sync.WaitGroup
+}
+
+func (g *gatedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Host == g.host && strings.HasSuffix(r.URL.Path, "/bids") && g.arrived.Add(1) <= g.n {
+		g.all.Done()
+		g.all.Wait()
+	}
+	return g.base.RoundTrip(r)
 }
 
 // TestClientEnableRoutingDirect turns on SDK routing and checks job-scoped

@@ -195,12 +195,39 @@ type Metrics struct {
 	// segment count and total bytes across segments); both 0 in-memory.
 	WalSegmentCount int64 `json:"wal_segment_count"`
 	WalBytes        int64 `json:"wal_bytes"`
-	// FirehoseEvents / FirehoseDropped count events published to the
-	// exchange's observability firehose and events slow sinks missed.
+	// WalFsyncTotal counts the WAL's group commits and
+	// WalFsyncBatchedRecords the records they made durable; their ratio is
+	// the achieved batch size. Both 0 in-memory.
+	WalFsyncTotal          int64 `json:"wal_fsync_total"`
+	WalFsyncBatchedRecords int64 `json:"wal_fsync_batched_records"`
+	// WalFailed reports a degraded replica (the WAL took a sticky error and
+	// durable writes are refused); WalLastErrorUnix is when, 0 if healthy.
+	WalFailed        bool  `json:"wal_failed"`
+	WalLastErrorUnix int64 `json:"wal_last_error_unix"`
+	// WrongPartition counts requests refused because another replica owns
+	// the job; 0 on an unpartitioned exchange.
+	WrongPartition int64 `json:"wrong_partition"`
+	// FirehoseEvents / FirehoseDropped count the round records (one per
+	// round close) published to the exchange's observability firehose and
+	// the records slow sinks missed.
 	FirehoseEvents    int64   `json:"firehose_events"`
 	FirehoseDropped   int64   `json:"firehose_dropped"`
 	RoundLatencyP50Ms float64 `json:"round_latency_p50_ms"`
 	RoundLatencyP99Ms float64 `json:"round_latency_p99_ms"`
+	// Admission* report overload protection: whether it is installed and
+	// currently overloaded, the in-flight bid-submit gauge, sheds in total
+	// and by scope, and event-stream occupancy and evictions. All zero
+	// when admission is off.
+	AdmissionEnabled      bool  `json:"admission_enabled"`
+	AdmissionOverloaded   bool  `json:"admission_overloaded"`
+	AdmissionInflight     int64 `json:"admission_inflight"`
+	AdmissionShedTotal    int64 `json:"admission_shed_total"`
+	AdmissionShedGlobal   int64 `json:"admission_shed_global"`
+	AdmissionShedNode     int64 `json:"admission_shed_node"`
+	AdmissionShedJob      int64 `json:"admission_shed_job"`
+	AdmissionShedInflight int64 `json:"admission_shed_inflight"`
+	AdmissionSSEActive    int64 `json:"admission_sse_active"`
+	AdmissionSSEEvicted   int64 `json:"admission_sse_evicted"`
 }
 
 // Rollup is one aggregate view — windowed or lifetime — of a job's or
@@ -219,7 +246,7 @@ type Rollup struct {
 }
 
 // PriceHistogram is a fixed-bucket bid-price distribution: Counts[i]
-// counts accepted bids with price <= Bounds[i]; Counts[len(Bounds)]
+// counts closed-round bids with price <= Bounds[i]; Counts[len(Bounds)]
 // catches everything above the last bound.
 type PriceHistogram struct {
 	Bounds []float64 `json:"bounds"`
@@ -238,8 +265,9 @@ type JobStats struct {
 }
 
 // NodeStats is the payload of GET /v1/nodes/{id}/stats. LastBidMS and
-// LastWinMS are unix-millisecond timestamps of the node's most recent
-// accepted bid and win (0 = never).
+// LastWinMS are the unix-millisecond times at which the server consumed
+// the latest round close carrying a bid and a win from the node (0 =
+// never); a bid is counted once its round closes.
 type NodeStats struct {
 	Node           int            `json:"node"`
 	WindowSec      int64          `json:"window_sec"`
