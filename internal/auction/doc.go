@@ -57,11 +57,14 @@
 // DetermineWinners, DetermineWinnersScored, DetermineWinnersPsi,
 // DetermineWinnersPsiScored, DetermineWinnersBudget and
 // DetermineWinnersPsiVector predate the pipeline and are retained as thin
-// wrappers over Select. They are bit-for-bit compatible with the original
-// full-sort implementation — identical Outcomes, identical rng draw order —
-// which the exchange's write-ahead-log replay depends on and a seeded
-// equivalence property test enforces. They allocate per call; new code and
-// hot paths should prefer a pooled Selector (or an Auctioneer).
+// wrappers over Select, bit-for-bit compatible with the original full-sort
+// implementation. No code outside tests calls them. The exchange's
+// write-ahead-log replay does not go through them: it depends on
+// Selector.Select's rng draw order (an Auctioneer's pooled selector), which
+// the seeded equivalence property tests (TestSelectEquivalenceProperty,
+// TestAuctioneerEquivalenceProperty) pin against the full-sort reference —
+// identical Outcomes, identical draw counts. The wrappers allocate per
+// call; new code should use a pooled Selector (or an Auctioneer).
 //
 // The theoretical results of §IV are exposed as executable artifacts:
 // expected-profit curves (Theorems 2 and 3), social surplus / Pareto

@@ -331,17 +331,7 @@ func TestAdmissionPrometheusCatalog(t *testing.T) {
 	if byReason["global"] != 1 {
 		t.Fatalf("global sheds = %v, want 1", byReason["global"])
 	}
-	for name, typ := range map[string]string{
-		"fmore_exchange_admission_sse_evicted_total": "counter",
-		"fmore_exchange_admission_inflight":          "gauge",
-		"fmore_exchange_admission_sse_active":        "gauge",
-		"fmore_exchange_admission_overloaded":        "gauge",
-	} {
-		f, ok := page.Families[name]
-		if !ok || f.Type != typ {
-			t.Fatalf("family %s = %+v, want type %s", name, f, typ)
-		}
-	}
+	assertCatalog(t, page, func(sc promScope) bool { return sc != scopePartitioned })
 	if v, err := page.Value("fmore_exchange_admission_overloaded"); err != nil || v != 1 {
 		t.Fatalf("admission_overloaded = %v err %v, want 1 right after a shed", v, err)
 	}

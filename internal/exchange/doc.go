@@ -35,8 +35,8 @@
 // Past the resolve, the hot path is bid ingestion, and it never touches a
 // job-wide lock either:
 //
-//   - Each Job fronts its bid collection with P intake shards (next power
-//     of two ≥ GOMAXPROCS, Options.IntakeShards to override). A node hashes
+//   - Each Job fronts its bid collection with P intake shards (the next
+//     power of two ≥ GOMAXPROCS, capped at 32). A node hashes
 //     to one shard — its private mutex, append-only buffer and dedup set —
 //     so concurrent POST /v1/jobs/{id}/bids serialize only on stripe
 //     collisions, never against each other globally and never against a
@@ -75,7 +75,7 @@
 //     (Outcome, Latest, WaitLatest, WaitOutcome, OutcomesAfter), the
 //     replayed history handed to Subscribe, the round_closed events fanned
 //     out to subscribers (cloned once per round, only when subscribers
-//     exist), and the transport Engine adapter. HTTP and SSE rendering
+//     exist), and CloseRound's return value. HTTP and SSE rendering
 //     therefore never reads job-pooled memory outside the job's lock.
 //
 // # Durability
@@ -237,8 +237,13 @@
 //
 // GET /v1/metrics serves the JSON snapshot; GET /v1/metrics/prometheus
 // serves the same state in Prometheus text exposition format (0.0.4,
-// hand-rolled — no client library). The catalog, all prefixed
-// fmore_exchange_ and unlabeled except the histogram's le:
+// hand-rolled — no client library). The source of truth for the
+// exposition is the catalog table promCatalog in prometheus.go: one row
+// per family carrying its name, type, help, scope and the snapshot value
+// it reads. The listing below restates it for readers, and
+// TestPrometheusCatalogDocumented fails when the two disagree, so adding a
+// metric means one Snapshot field, one table row and one line here. The
+// catalog, all prefixed fmore_exchange_ and unlabeled except where noted:
 //
 //	uptime_seconds              gauge      seconds since New/Open
 //	jobs_active                 gauge      hosted jobs still accepting rounds (live map scan)
@@ -273,9 +278,17 @@
 //	admission_sse_active        gauge      SSE streams currently registered
 //	admission_overloaded        gauge      1 while /v1/healthz answers 503, else 0
 //
+// A partitioned replica (Options.Partition) adds its topology:
+//
+//	partition_id                gauge      constant 1, labeled partition= the partition served
+//	partition_map_version       gauge      version of the cluster map this replica routes by
+//	wrong_partition_total       counter    job-scoped requests refused as owned by another replica
+//
 // The histogram is bucketed at write time (one atomic add per close) and
-// cumulated at scrape; its _count equals rounds_total, so the two read
-// consistently under concurrent closes.
+// cumulated at scrape. A scrape loads the buckets first and the round
+// total once after them; that one value is both rounds_total and the
+// histogram's _count, so the two are equal on every page even under
+// concurrent closes.
 //
 // # Admission & overload
 //
@@ -394,8 +407,7 @@
 // -snapshot-bytes, -sync-interval, -commit, -on-wal-failure and
 // -pprof-addr flags), and
 // examples/exchange is a full SDK-driven quickstart including a
-// close-and-reopen pass. Engine adapts
-// one job to the transport.Engine interface for in-process embedding; the
-// cluster harness instead uses pkg/client's Engine over HTTP, exercising
-// the same API surface a deployed exchange would serve.
+// close-and-reopen pass. The cluster harness drives a job through
+// pkg/client's Engine (a transport.Engine over HTTP), exercising the same
+// API surface a deployed exchange would serve.
 package exchange

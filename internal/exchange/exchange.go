@@ -35,13 +35,6 @@ const (
 type Options struct {
 	// Workers sizes the shared scoring pool (default GOMAXPROCS).
 	Workers int
-	// ScoreChunk is the bids-per-task granularity of the pool (default 128).
-	ScoreChunk int
-	// IntakeShards overrides the per-job bid-intake stripe count (rounded up
-	// to a power of two; default: GOMAXPROCS rounded up, capped at 32).
-	// Bidders serialize only when they hash to the same stripe, so more
-	// stripes buy less contention at the cost of a longer drain at close.
-	IntakeShards int
 	// RequireRegistration rejects bids from nodes that have not been
 	// registered (the deployment posture of the TCP harness, where nodes
 	// register over the wire before bidding). When false, first contact
@@ -201,7 +194,7 @@ func New(opts Options) *Exchange {
 	ex := &Exchange{
 		opts:    opts,
 		reg:     NewRegistry(),
-		pool:    newScorePool(opts.Workers, opts.ScoreChunk),
+		pool:    newScorePool(opts.Workers, 0),
 		metrics: newMetrics(),
 		fh:      newFirehose(tapRing),
 		part:    opts.Partition,
@@ -447,8 +440,9 @@ func (ex *Exchange) SubmitBid(jobID string, bid auction.Bid) (round int, err err
 func (ex *Exchange) Firehose() *Firehose { return ex.fh }
 
 // CloseRound closes the job's current round synchronously and returns its
-// outcome. This is the manual drive used by the transport engine adapter;
-// on timer-mode jobs it simply closes the window early. The returned
+// outcome. This is the manual drive behind POST /v1/jobs/{id}/close (and
+// so pkg/client's transport engine adapter); on timer-mode jobs it simply
+// closes the window early. The returned
 // outcome owns all of its memory (the copy is made before the close lock
 // releases, so it can never observe a later round recycling the job's
 // pooled buffers); in-process embedders that want the zero-copy pooled

@@ -344,42 +344,6 @@ func TestCloseRoundBelowQuorum(t *testing.T) {
 	}
 }
 
-func TestEngineAdapterRunsTransportRounds(t *testing.T) {
-	ex := New(Options{})
-	defer ex.Close()
-	job, err := ex.CreateJob(JobSpec{
-		Auction: auction.Config{Rule: testRule(t, 4), K: 2},
-		Seed:    31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(ex, job.ID())
-
-	ref, err := auction.NewAuctioneer(
-		auction.Config{Rule: testRule(t, 4), K: 2}, rand.New(rand.NewSource(31)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; round <= 2; round++ {
-		bids := testBids(4, round, 10)
-		got, err := eng.RunRound(round, bids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Run(bids) // already in ascending NodeID order
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("round %d: engine outcome diverges from private auctioneer", round)
-		}
-	}
-	if _, err := eng.RunRound(3, nil); err == nil {
-		t.Error("zero-bid engine round: want error")
-	}
-}
-
 func TestExchangeCloseRejectsWork(t *testing.T) {
 	ex := New(Options{})
 	job, err := ex.CreateJob(JobSpec{Auction: auction.Config{Rule: testRule(t, 5), K: 1}})

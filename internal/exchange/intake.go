@@ -11,7 +11,8 @@ import (
 // maxDefaultIntakeShards caps the GOMAXPROCS-derived default shard count:
 // beyond this, shard-selection collisions are already rare at any realistic
 // bidder concurrency and more shards only cost memory and drain work. An
-// explicit Options.IntakeShards override is honored past it.
+// explicit newIntake override (tests size stripes directly) is honored
+// past it.
 const maxDefaultIntakeShards = 32
 
 // intakeShard is one stripe of a job's bid intake: an append-only buffer,
@@ -45,8 +46,10 @@ type intake struct {
 
 // newIntake sizes the stripe count to the machine (next power of two ≥
 // GOMAXPROCS, capped at maxDefaultIntakeShards), or to the explicit
-// override when positive (rounded up to a power of two, uncapped — the
-// operator asked for exactly that contention profile).
+// override when positive (rounded up to a power of two, uncapped). Jobs
+// pass 0; the override lets tests pin a stripe count. Bidders serialize
+// only when they hash to the same stripe, so more stripes buy less
+// contention at the cost of a longer drain at close.
 func newIntake(override int) *intake {
 	n := runtime.GOMAXPROCS(0)
 	limit := maxDefaultIntakeShards

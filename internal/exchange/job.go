@@ -761,7 +761,7 @@ func newJob(ex *Exchange, id string, spec JobSpec) (*Job, error) {
 		ex:          ex,
 		ctx:         ctx,
 		cancel:      cancel,
-		intake:      newIntake(ex.opts.IntakeShards),
+		intake:      newIntake(0),
 		admit:       ex.adm.NewJobBucket(),
 		round:       1,
 		subs:        make(map[*Subscription]struct{}),

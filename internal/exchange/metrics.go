@@ -82,7 +82,7 @@ func (m *Metrics) observeRound(latency time.Duration) {
 }
 
 // Snapshot is a point-in-time view of the exchange's health, the payload of
-// GET /metrics.
+// GET /v1/metrics; the SDK's client.Metrics is an alias of it.
 type Snapshot struct {
 	UptimeSec    float64 `json:"uptime_sec"`
 	JobsActive   int64   `json:"jobs_active"`
@@ -180,17 +180,18 @@ func (m *Metrics) snapshot(nodes, activeJobs int) Snapshot {
 
 // latencyHistogram reads the write-time histogram in the cumulative form
 // the Prometheus exposition wants: cum[i] counts rounds <= the i-th
-// bucket bound, count is the total observations (the +Inf bucket) and
-// sumSec the latency sum in seconds. Buckets are loaded before the total,
-// and observeRound increments the total first — so count can only be >=
-// the loaded cumulative tail and the scraped histogram stays monotone.
-func (m *Metrics) latencyHistogram() (cum [len(latencyBuckets)]int64, count int64, sumSec float64) {
+// bucket bound and sumSec is the latency sum in seconds. The histogram's
+// count (its +Inf bucket) is roundsTotal, which the caller loads after
+// this returns: observeRound increments the total before the bucket, so
+// the count can only be >= the loaded cumulative tail and the scraped
+// histogram stays monotone.
+func (m *Metrics) latencyHistogram() (cum [len(latencyBuckets)]int64, sumSec float64) {
 	run := int64(0)
 	for i := range m.latHist {
 		run += m.latHist[i].Load()
 		cum[i] = run
 	}
-	return cum, m.roundsTotal.Load(), float64(m.latSumNs.Load()) / 1e9
+	return cum, float64(m.latSumNs.Load()) / 1e9
 }
 
 // latencyPercentiles returns (p50, p99) in milliseconds over the ring. The

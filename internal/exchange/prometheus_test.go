@@ -1,18 +1,57 @@
 package exchange
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"math"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"fmore/internal/admission"
 	"fmore/internal/auction"
+	"fmore/internal/partition"
 	"fmore/internal/promtext"
 )
 
+// assertCatalog checks a parsed page against promCatalog: the families of
+// every scope exposed(scope) accepts appear in catalog order with the
+// catalog's type and help, and nothing else appears.
+func assertCatalog(t *testing.T, page *promtext.Metrics, exposed func(promScope) bool) {
+	t.Helper()
+	var want []string
+	for _, f := range promCatalog {
+		if !exposed(f.scope) {
+			continue
+		}
+		name := "fmore_exchange_" + f.name
+		want = append(want, name)
+		got, ok := page.Families[name]
+		if !ok {
+			t.Errorf("metric %s missing from exposition", name)
+			continue
+		}
+		if got.Type != f.typ {
+			t.Errorf("metric %s type = %q, want %q", name, got.Type, f.typ)
+		}
+		if got.Help != f.help {
+			t.Errorf("metric %s help = %q, want %q", name, got.Help, f.help)
+		}
+	}
+	if !slices.Equal(page.Order, want) {
+		t.Errorf("exposed families = %v, want %v", page.Order, want)
+	}
+}
+
 // TestPrometheusExposition scrapes a live exchange and validates the page
-// with the promtext parser: legal syntax, the full metric catalog present
-// with the right types, values agreeing with the JSON snapshot, and the
+// with the promtext parser: legal syntax, exactly the unconditional rows
+// of promCatalog present, values agreeing with the JSON snapshot, and the
 // latency histogram well-formed (cumulative buckets are promtext's own
 // check) with _count tracking rounds_total.
 func TestPrometheusExposition(t *testing.T) {
@@ -38,39 +77,7 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
 	}
 
-	wantTypes := map[string]string{
-		"fmore_exchange_uptime_seconds":            "gauge",
-		"fmore_exchange_jobs_active":               "gauge",
-		"fmore_exchange_jobs_created_total":        "counter",
-		"fmore_exchange_nodes_known":               "gauge",
-		"fmore_exchange_rounds_total":              "counter",
-		"fmore_exchange_rounds_failed_total":       "counter",
-		"fmore_exchange_idle_ticks_total":          "counter",
-		"fmore_exchange_bids_accepted_total":       "counter",
-		"fmore_exchange_bids_rejected_total":       "counter",
-		"fmore_exchange_wal_snapshots_total":       "counter",
-		"fmore_exchange_wal_snapshot_errors_total": "counter",
-		"fmore_exchange_wal_segment_count":         "gauge",
-		"fmore_exchange_wal_bytes":                 "gauge",
-		"fmore_exchange_firehose_events_total":     "counter",
-		"fmore_exchange_firehose_dropped_total":    "counter",
-		"fmore_exchange_round_latency_p50_seconds": "gauge",
-		"fmore_exchange_round_latency_p99_seconds": "gauge",
-		"fmore_exchange_round_latency_seconds":     "histogram",
-	}
-	for name, typ := range wantTypes {
-		f, ok := page.Families[name]
-		if !ok {
-			t.Errorf("metric %s missing from exposition", name)
-			continue
-		}
-		if f.Type != typ {
-			t.Errorf("metric %s type = %q, want %q", name, f.Type, typ)
-		}
-		if f.Help == "" {
-			t.Errorf("metric %s has no HELP", name)
-		}
-	}
+	assertCatalog(t, page, func(sc promScope) bool { return sc == scopeAlways })
 
 	snap := ex.Metrics()
 	for name, want := range map[string]float64{
@@ -189,4 +196,144 @@ func labelsEqual(a, b map[string]string) bool {
 		}
 	}
 	return true
+}
+
+// docCatalogLine matches one entry of the metric catalog in doc.go: a
+// tab-indented family name (without the fmore_exchange_ prefix) and its
+// type.
+var docCatalogLine = regexp.MustCompile(`^//\t([a-z0-9_]+)\s+(counter|gauge|histogram)\s`)
+
+// TestPrometheusCatalogDocumented keeps the catalog listed in doc.go's
+// Observability section in step with promCatalog: every family the table
+// declares is listed with its type, and every listed family is declared.
+func TestPrometheusCatalogDocumented(t *testing.T) {
+	f, err := os.Open("doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	documented := map[string]string{}
+	inSection := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if heading, ok := strings.CutPrefix(line, "// # "); ok {
+			inSection = strings.HasPrefix(heading, "Observability")
+			continue
+		}
+		if m := docCatalogLine.FindStringSubmatch(line); inSection && m != nil {
+			if _, dup := documented[m[1]]; dup {
+				t.Errorf("doc.go lists %s twice", m[1])
+			}
+			documented[m[1]] = m[2]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range promCatalog {
+		typ, ok := documented[fam.name]
+		switch {
+		case !ok:
+			t.Errorf("doc.go's catalog lacks %s", fam.name)
+		case typ != fam.typ:
+			t.Errorf("doc.go lists %s as %s, promCatalog declares %s", fam.name, typ, fam.typ)
+		}
+		delete(documented, fam.name)
+	}
+	for name := range documented {
+		t.Errorf("doc.go lists %s, which promCatalog does not declare", name)
+	}
+}
+
+// TestPrometheusRoundsTotalMatchesHistogramCount races round closes against
+// scrapes: on every page rounds_total and the latency histogram's _count
+// must be equal (promtext checks _count against the +Inf bucket and the
+// buckets' monotonicity).
+func TestPrometheusRoundsTotalMatchesHistogramCount(t *testing.T) {
+	ex := New(Options{})
+	defer ex.Close()
+	jobs := []string{"race-a", "race-b"} // one closer each
+	for i, id := range jobs {
+		if _, err := ex.CreateJob(JobSpec{ID: id, Auction: auction.Config{Rule: testRule(t, i), K: 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		stop   atomic.Bool
+		wg     sync.WaitGroup
+		errs   = make(chan error, len(jobs))
+		scrape bytes.Buffer
+	)
+	defer func() { // before ex.Close: stop the closers on every path
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for _, id := range jobs {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for r := 1; !stop.Load(); r++ {
+				for _, b := range testBids(0, r, 3) {
+					if _, err := ex.SubmitBid(id, b); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if _, err := ex.CloseRound(id); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(id)
+	}
+	for i := 0; i < 300; i++ {
+		scrape.Reset()
+		if err := writePrometheus(&scrape, ex); err != nil {
+			t.Fatal(err)
+		}
+		page, err := promtext.Parse(&scrape)
+		if err != nil {
+			t.Fatalf("scrape %d does not parse: %v", i, err)
+		}
+		total, err := page.Value("fmore_exchange_rounds_total")
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := math.NaN()
+		for _, smp := range page.Families["fmore_exchange_round_latency_seconds"].Samples {
+			if smp.Name == "fmore_exchange_round_latency_seconds_count" {
+				count = smp.Value
+			}
+		}
+		if total != count {
+			t.Fatalf("scrape %d: rounds_total = %v, round_latency_seconds_count = %v", i, total, count)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if n := ex.Metrics().RoundsTotal; n == 0 {
+		t.Fatal("no round closed while scraping")
+	}
+}
+
+// BenchmarkWritePrometheus renders the full exposition (partitioned, with
+// admission) once per op; -benchmem reports the per-scrape allocations.
+func BenchmarkWritePrometheus(b *testing.B) {
+	ex := New(Options{
+		Partition: &partition.Assignment{Local: "p0", Map: partition.NewHandle(twoPartitionMap(1))},
+		Admission: admission.NewController(admission.Config{GlobalRate: 1000, GlobalBurst: 1}),
+	})
+	defer ex.Close()
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := writePrometheus(io.Discard, ex); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -33,6 +33,12 @@
 //     aggregator harness (internal/cluster) delegates winner determination
 //     to an exchange over HTTP.
 //
+// Metrics, JobStats, NodeStats, Rollup and PriceHistogram are aliases of
+// the server's own types (internal/exchange.Snapshot and the
+// internal/analytics stats types), the same way RuleSpec and the other
+// wire specs alias internal/transport: the SDK decodes exactly what the
+// server encodes, field for field, with no copy to fall out of step.
+//
 // See example_test.go for a runnable end-to-end round trip against an
 // in-process exchange.
 package client

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -115,34 +114,5 @@ func TestClientStatsRoundTrip(t *testing.T) {
 	}
 	if rounds != 1 {
 		t.Fatalf("scraped rounds_total = %v, want 1", rounds)
-	}
-}
-
-// TestMetricsCoversSnapshot keeps the SDK's Metrics in step with the
-// exchange's Snapshot: both must declare the same JSON keys with the same
-// kinds, so no field the server serves is silently dropped by the client.
-func TestMetricsCoversSnapshot(t *testing.T) {
-	keys := func(v any) map[string]reflect.Kind {
-		out := make(map[string]reflect.Kind)
-		typ := reflect.TypeOf(v)
-		for i := range typ.NumField() {
-			f := typ.Field(i)
-			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-			out[name] = f.Type.Kind()
-		}
-		return out
-	}
-	sdk, server := keys(Metrics{}), keys(exchange.Snapshot{})
-	for name, kind := range server {
-		if got, ok := sdk[name]; !ok {
-			t.Errorf("client.Metrics lacks %q", name)
-		} else if got != kind {
-			t.Errorf("client.Metrics %q is %v, server serves %v", name, got, kind)
-		}
-	}
-	for name := range sdk {
-		if _, ok := server[name]; !ok {
-			t.Errorf("client.Metrics declares %q, which the server does not serve", name)
-		}
 	}
 }

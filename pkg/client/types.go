@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"fmore/internal/analytics"
+	"fmore/internal/exchange"
 	"fmore/internal/transport"
 )
 
@@ -23,6 +25,22 @@ type (
 	// EquilibriumSpec describes the bidder-side game a job needs to serve
 	// the solved Theorem 1 strategy.
 	EquilibriumSpec = transport.EquilibriumSpec
+)
+
+// Payload aliases. The metrics and stats endpoints serve the server's own
+// types, so the SDK names them rather than copying their fields.
+type (
+	// Metrics is the exchange's health snapshot (GET /v1/metrics).
+	Metrics = exchange.Snapshot
+	// Rollup is one aggregate view — windowed or lifetime — of a job's or
+	// node's auction activity, as served by the stats endpoints.
+	Rollup = analytics.Rollup
+	// PriceHistogram is a fixed-bucket bid-price distribution.
+	PriceHistogram = analytics.PriceHistogram
+	// JobStats is the payload of GET /v1/jobs/{id}/stats.
+	JobStats = analytics.JobStats
+	// NodeStats is the payload of GET /v1/nodes/{id}/stats.
+	NodeStats = analytics.NodeStats
 )
 
 // Error codes of the v1 error envelope, mirrored from the exchange.
@@ -172,110 +190,6 @@ func (o Outcome) Won(nodeID int) (payment float64, won bool) {
 		}
 	}
 	return 0, false
-}
-
-// Metrics is the exchange's health snapshot (GET /v1/metrics).
-type Metrics struct {
-	UptimeSec    float64 `json:"uptime_sec"`
-	JobsActive   int64   `json:"jobs_active"`
-	JobsCreated  int64   `json:"jobs_created"`
-	NodesKnown   int     `json:"nodes_known"`
-	RoundsTotal  int64   `json:"rounds_total"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	RoundsFailed int64   `json:"rounds_failed"`
-	IdleTicks    int64   `json:"idle_ticks"`
-	BidsAccepted int64   `json:"bids_accepted"`
-	BidsRejected int64   `json:"bids_rejected"`
-	BidsPerSec   float64 `json:"bids_per_sec"`
-	// WalSnapshots / WalSnapshotErrors count WAL compactions (snapshot +
-	// log rotation) on a durable exchange; both 0 when running in-memory.
-	WalSnapshots      int64 `json:"wal_snapshots"`
-	WalSnapshotErrors int64 `json:"wal_snapshot_errors"`
-	// WalSegmentCount / WalBytes gauge the WAL's on-disk footprint (live
-	// segment count and total bytes across segments); both 0 in-memory.
-	WalSegmentCount int64 `json:"wal_segment_count"`
-	WalBytes        int64 `json:"wal_bytes"`
-	// WalFsyncTotal counts the WAL's group commits and
-	// WalFsyncBatchedRecords the records they made durable; their ratio is
-	// the achieved batch size. Both 0 in-memory.
-	WalFsyncTotal          int64 `json:"wal_fsync_total"`
-	WalFsyncBatchedRecords int64 `json:"wal_fsync_batched_records"`
-	// WalFailed reports a degraded replica (the WAL took a sticky error and
-	// durable writes are refused); WalLastErrorUnix is when, 0 if healthy.
-	WalFailed        bool  `json:"wal_failed"`
-	WalLastErrorUnix int64 `json:"wal_last_error_unix"`
-	// WrongPartition counts requests refused because another replica owns
-	// the job; 0 on an unpartitioned exchange.
-	WrongPartition int64 `json:"wrong_partition"`
-	// FirehoseEvents / FirehoseDropped count the round records (one per
-	// round close) published to the exchange's observability firehose and
-	// the records slow sinks missed.
-	FirehoseEvents    int64   `json:"firehose_events"`
-	FirehoseDropped   int64   `json:"firehose_dropped"`
-	RoundLatencyP50Ms float64 `json:"round_latency_p50_ms"`
-	RoundLatencyP99Ms float64 `json:"round_latency_p99_ms"`
-	// Admission* report overload protection: whether it is installed and
-	// currently overloaded, the in-flight bid-submit gauge, sheds in total
-	// and by scope, and event-stream occupancy and evictions. All zero
-	// when admission is off.
-	AdmissionEnabled      bool  `json:"admission_enabled"`
-	AdmissionOverloaded   bool  `json:"admission_overloaded"`
-	AdmissionInflight     int64 `json:"admission_inflight"`
-	AdmissionShedTotal    int64 `json:"admission_shed_total"`
-	AdmissionShedGlobal   int64 `json:"admission_shed_global"`
-	AdmissionShedNode     int64 `json:"admission_shed_node"`
-	AdmissionShedJob      int64 `json:"admission_shed_job"`
-	AdmissionShedInflight int64 `json:"admission_shed_inflight"`
-	AdmissionSSEActive    int64 `json:"admission_sse_active"`
-	AdmissionSSEEvicted   int64 `json:"admission_sse_evicted"`
-}
-
-// Rollup is one aggregate view — windowed or lifetime — of a job's or
-// node's auction activity, as served by the stats endpoints. Node rollups
-// leave the round fields zero (rounds are a job-level event).
-type Rollup struct {
-	Rounds            int64   `json:"rounds"`
-	RoundsFailed      int64   `json:"rounds_failed"`
-	Bids              int64   `json:"bids"`
-	Wins              int64   `json:"wins"`
-	WinRate           float64 `json:"win_rate"`
-	TotalPayment      float64 `json:"total_payment"`
-	AggregatorProfit  float64 `json:"aggregator_profit"`
-	AvgRoundLatencyMS float64 `json:"avg_round_latency_ms"`
-	MaxRoundLatencyMS float64 `json:"max_round_latency_ms"`
-}
-
-// PriceHistogram is a fixed-bucket bid-price distribution: Counts[i]
-// counts closed-round bids with price <= Bounds[i]; Counts[len(Bounds)]
-// catches everything above the last bound.
-type PriceHistogram struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-}
-
-// JobStats is the payload of GET /v1/jobs/{id}/stats: rollups over the
-// server's sliding window (roughly the last WindowSec seconds) and over
-// the aggregator's lifetime, plus the windowed bid-price histogram.
-type JobStats struct {
-	Job            string         `json:"job"`
-	WindowSec      int64          `json:"window_sec"`
-	Window         Rollup         `json:"window"`
-	Lifetime       Rollup         `json:"lifetime"`
-	PriceHistogram PriceHistogram `json:"price_histogram"`
-}
-
-// NodeStats is the payload of GET /v1/nodes/{id}/stats. LastBidMS and
-// LastWinMS are the unix-millisecond times at which the server consumed
-// the latest round close carrying a bid and a win from the node (0 =
-// never); a bid is counted once its round closes.
-type NodeStats struct {
-	Node           int            `json:"node"`
-	WindowSec      int64          `json:"window_sec"`
-	Window         Rollup         `json:"window"`
-	Lifetime       Rollup         `json:"lifetime"`
-	PriceHistogram PriceHistogram `json:"price_histogram"`
-	LastBidMS      int64          `json:"last_bid_ms"`
-	LastWinMS      int64          `json:"last_win_ms"`
 }
 
 // StrategyPoint is one sampled point of the equilibrium bid curve.
